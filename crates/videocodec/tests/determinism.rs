@@ -98,3 +98,35 @@ fn odd_sizes_stay_deterministic_and_recon_exact() {
         assert_eq!(a.recon[0], dec[0], "{w}x{h} recon != decode");
     }
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Golden pin of a three-frame stream with inter prediction on: the only
+/// path where an inter candidate competes with the intra survivors in the
+/// decide loop. Self-consistency alone (the tests above) would not catch
+/// a decision kernel that is deterministic but computes something else.
+#[test]
+fn inter_stream_matches_golden_hash() {
+    let frames = [
+        textured_frame(21, 64, 48),
+        textured_frame(22, 64, 48),
+        textured_frame(21, 64, 48),
+    ];
+    let cfg = CodecConfig::default()
+        .with_pipeline(PipelineConfig::full_video())
+        .with_qp(26.5);
+    let enc = encode_video(&frames, &cfg);
+    assert_eq!(
+        (enc.bytes.len(), fnv1a(&enc.bytes)),
+        (1610, 0x3fa2_81de_3d44_0f45),
+        "fnv {:#018x}",
+        fnv1a(&enc.bytes)
+    );
+}
