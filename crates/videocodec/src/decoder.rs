@@ -8,6 +8,7 @@ use llm265_bitstream::rans;
 use crate::encoder::{FIXED_CU, FLAG_RANS, FLAG_TILED, MAGIC, VERSION};
 use crate::inter::{compensate, MotionVector};
 use crate::intra::RefSamples;
+use crate::lanes::round_to_i32;
 use crate::quant::Quantizer;
 use crate::syntax::{parse_residual, BinSource, Contexts, RawBinReader};
 use crate::transform::DctPlans;
@@ -22,8 +23,11 @@ struct FrameDecoder<'a> {
     frame_inter: bool,
     mode_bits: u32,
     prev_mode: u8,
-    // Per-TU scratch (dequantized coefficients, DCT workspace and the
-    // reconstructed residual), reused across every TU of the frame.
+    // Per-leaf and per-TU scratch (prediction, reconstructed block,
+    // dequantized coefficients, DCT workspace and the reconstructed
+    // residual), reused across every leaf of the frame.
+    pred: Vec<i32>,
+    block: Vec<i32>,
     deq: Vec<f64>,
     dct_tmp: Vec<f64>,
     rres: Vec<i32>,
@@ -75,7 +79,7 @@ impl<'a> FrameDecoder<'a> {
     ) -> Result<(), DecodeError> {
         // Prediction kind + parameters.
         let is_inter = self.frame_inter && dec.bit(&mut ctxs.inter_flag);
-        let pred: Vec<i32> = if is_inter {
+        if is_inter {
             let dx = parse_signed_eg(dec)?;
             let dy = parse_signed_eg(dec)?;
             let mv = MotionVector {
@@ -85,7 +89,7 @@ impl<'a> FrameDecoder<'a> {
             let prev = self
                 .prev
                 .ok_or(DecodeError::Corrupt("inter block without reference frame"))?;
-            compensate(prev, x0, y0, size, mv)
+            self.pred = compensate(prev, x0, y0, size, mv);
         } else if self.cfg.pipeline.intra {
             let n_modes = self.cfg.profile.modes().len();
             let idx = if dec.bit(&mut ctxs.mpm) {
@@ -100,16 +104,17 @@ impl<'a> FrameDecoder<'a> {
             }
             self.prev_mode = idx;
             let refs = RefSamples::gather(&self.recon, x0, y0, size);
-            refs.predict(self.cfg.profile.modes()[usize::from(idx)])
+            refs.predict_into(self.cfg.profile.modes()[usize::from(idx)], &mut self.pred);
         } else {
-            vec![128; size * size]
-        };
+            self.pred.clear();
+            self.pred.resize(size * size, 128);
+        }
 
         // Residual per TU.
         let tu = size.min(self.cfg.profile.max_tu());
         let per_side = size / tu;
         let spatial = !self.cfg.pipeline.transform;
-        let mut block = vec![0i32; size * size];
+        self.block.resize(size * size, 0);
         for ty in 0..per_side {
             for tx in 0..per_side {
                 let levels = parse_residual(dec, ctxs, tu, spatial)?;
@@ -123,18 +128,18 @@ impl<'a> FrameDecoder<'a> {
                     self.rres.extend(
                         levels
                             .iter()
-                            .map(|&l| self.quant.dequantize(l).round() as i32),
+                            .map(|&l| round_to_i32(self.quant.dequantize(l))),
                     );
                 }
                 for y in 0..tu {
                     for x in 0..tu {
                         let idx = (ty * tu + y) * size + tx * tu + x;
-                        block[idx] = (pred[idx] + self.rres[y * tu + x]).clamp(0, 255);
+                        self.block[idx] = (self.pred[idx] + self.rres[y * tu + x]).clamp(0, 255);
                     }
                 }
             }
         }
-        self.recon.write_block(x0, y0, size, &block);
+        self.recon.write_block(x0, y0, size, &self.block);
         Ok(())
     }
 }
@@ -284,16 +289,16 @@ pub(crate) fn decode_video(data: &[u8]) -> Result<Vec<Frame>, DecodeError> {
         return Ok(frames);
     }
 
-    let plans = DctPlans::new();
+    let plans = DctPlans::shared();
     let mut frames = Vec::with_capacity(n_frames);
     let mut prev_padded: Option<Frame> = None;
     for i in 0..n_frames {
         let payload = parse_frame(data, &mut pos)?;
 
         let recon = if hdr.tiled {
-            crate::tile::decode_tiled_frame(payload, prev_padded.as_ref(), &cfg, &plans, i, w, h)?
+            crate::tile::decode_tiled_frame(payload, prev_padded.as_ref(), &cfg, plans, i, w, h)?
         } else {
-            decode_frame(payload, prev_padded.as_ref(), &cfg, &plans, i, w, h)?
+            decode_frame(payload, prev_padded.as_ref(), &cfg, plans, i, w, h)?
         };
         frames.push(recon.cropped(w, h));
         prev_padded = Some(recon);
@@ -327,6 +332,8 @@ pub(crate) fn decode_frame(
         frame_inter,
         mode_bits: 32 - (mode_count - 1).leading_zeros(),
         prev_mode: 0,
+        pred: Vec::new(),
+        block: Vec::new(),
         deq: Vec::new(),
         dct_tmp: Vec::new(),
         rres: Vec::new(),

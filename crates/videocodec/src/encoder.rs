@@ -19,6 +19,7 @@ use llm265_bitstream::cabac::CabacEncoder;
 
 use crate::inter::{compensate, motion_search, MotionVector};
 use crate::intra::RefSamples;
+use crate::lanes::round_to_i32;
 use crate::quant::{lambda, Quantizer};
 use crate::syntax::{code_residual, BinRecorder, BinSink, BitCounter, Contexts};
 use crate::transform::DctPlans;
@@ -83,14 +84,12 @@ impl CoderState {
     }
 }
 
-/// Reusable buffers for the per-TU transform/quantize path. The decide
-/// loop runs this for every candidate of every CU at every quad-tree
-/// level, so fresh allocations here dominate the encode profile; the
-/// buffers carry no information between calls — each user overwrites
-/// them completely.
+/// Reusable buffers of the residual path. The decide loop runs it for
+/// every candidate of every CU at every quad-tree level; the buffers
+/// carry no information between calls — each use overwrites them.
 #[derive(Default)]
 struct TuScratch {
-    /// Spatial residual staged by the caller, `tu * tu` values.
+    /// Spatial residual of the TU being coded, `tu * tu` values.
     residual: Vec<i32>,
     /// Forward-transform output / quantizer input.
     coeffs: Vec<f64>,
@@ -98,21 +97,32 @@ struct TuScratch {
     deq: Vec<f64>,
     /// Row/column workspace shared by both DCT directions.
     dct_tmp: Vec<f64>,
-    /// Reconstructed residual left for the caller.
+    /// Reconstructed residual of the TU.
     rres: Vec<i32>,
 }
 
-/// Per-frame scratch: TU buffers plus the CU-sized staging blocks used
-/// by the decide loop.
+/// One candidate's coded residual: levels per TU (raster TU order) and
+/// the reconstructed CU.
+#[derive(Default)]
+struct Trial {
+    tus: Vec<Vec<i32>>,
+    recon: Vec<i32>,
+}
+
+/// Per-frame scratch of the decide loop.
 #[derive(Default)]
 struct Scratch {
     tu: TuScratch,
-    /// Original pixels of the CU being residual-coded.
-    cu_orig: Vec<i32>,
-    /// Original pixels of the CU whose prediction is being decided.
-    leaf_orig: Vec<i32>,
-    /// Prediction block reused across the intra mode sweep.
+    /// Original pixels of the leaf being decided, and their transpose
+    /// (the horizontal angular modes score against it).
+    orig: Vec<i32>,
+    orig_t: Vec<i32>,
+    /// Prediction of the candidate being evaluated.
     pred: Vec<i32>,
+    /// The candidate being evaluated and the best one so far; swapped
+    /// when a candidate wins, so neither is reallocated per candidate.
+    trial: Trial,
+    best: Trial,
 }
 
 /// Everything a single frame encode needs.
@@ -161,84 +171,77 @@ impl<'a> FrameCoder<'a> {
         }
     }
 
-    /// Transforms + quantizes the residual staged in `scratch.tu.residual`,
-    /// leaving the reconstructed residual (what dequantization will
-    /// recover) in `scratch.tu.rres` and returning the quantized levels —
-    /// owned, because they outlive the scratch inside [`LeafData`].
-    fn quantize_tu(&mut self, n: usize) -> Vec<i32> {
-        let tu = &mut self.scratch.tu;
-        if self.cfg.pipeline.transform {
-            let plan = self.plans.get(n);
-            plan.forward_into(&tu.residual, &mut tu.dct_tmp, &mut tu.coeffs);
-            let levels = self.quant.quantize_block(&tu.coeffs);
-            self.quant.dequantize_block_into(&levels, &mut tu.deq);
-            plan.inverse_into(&tu.deq, &mut tu.dct_tmp, &mut tu.rres);
-            levels
-        } else {
-            // Transform skip: quantize the spatial residual directly.
-            let levels: Vec<i32> = tu
-                .residual
-                .iter()
-                .map(|&r| self.quant.quantize(r as f64))
-                .collect();
-            tu.rres.clear();
-            tu.rres.extend(
-                levels
-                    .iter()
-                    .map(|&l| self.quant.dequantize(l).round() as i32),
-            );
-            levels
-        }
-    }
-
-    /// Runs the residual path for a whole CU (splitting into TUs as the
-    /// profile requires). Returns levels per TU, the reconstructed block,
-    /// and the SSD distortion against the original.
-    fn quantize_cu_residual(
-        &mut self,
-        x0: usize,
-        y0: usize,
-        size: usize,
-        pred: &[i32],
-    ) -> (Vec<Vec<i32>>, Vec<i32>, f64) {
+    /// Runs the residual path of the `size × size` leaf staged in
+    /// `scratch.orig` against the prediction in `scratch.pred`, splitting
+    /// into TUs as the profile requires (one TU per CU is the simplest
+    /// case). Leaves levels and reconstruction in `scratch.trial` and
+    /// returns the SSD distortion against the original.
+    ///
+    /// The SSD sums in integers: every term is at most `255²` and a CU has
+    /// at most `32²` of them, so every partial sum fits an `i32` and stays
+    /// far below `2^53`, and the final conversion equals a pixel-by-pixel
+    /// `f64` sum in any order exactly.
+    fn residual_cu(&mut self, size: usize) -> f64 {
         let tu = size.min(self.cfg.profile.max_tu());
         let per_side = size / tu;
-        self.scratch.cu_orig.clear();
-        self.scratch.cu_orig.resize(size * size, 0);
-        self.orig
-            .read_block(x0, y0, size, &mut self.scratch.cu_orig);
-
-        let mut tus = Vec::with_capacity(per_side * per_side);
-        let mut recon = vec![0i32; size * size];
-        for ty in 0..per_side {
-            for tx in 0..per_side {
-                self.scratch.tu.residual.clear();
-                self.scratch.tu.residual.resize(tu * tu, 0);
-                for y in 0..tu {
-                    for x in 0..tu {
-                        let idx = (ty * tu + y) * size + tx * tu + x;
-                        self.scratch.tu.residual[y * tu + x] =
-                            self.scratch.cu_orig[idx] - pred[idx];
-                    }
+        let plan = self.cfg.pipeline.transform.then(|| self.plans.get(tu));
+        let quant = self.quant;
+        let Scratch {
+            tu: s,
+            orig,
+            pred,
+            trial,
+            ..
+        } = &mut self.scratch;
+        trial.tus.resize_with(per_side * per_side, Vec::new);
+        trial.recon.resize(size * size, 0);
+        let mut dist = 0i32;
+        for (t, levels) in trial.tus.iter_mut().enumerate() {
+            // Offset of the TU's top-left pixel inside the CU.
+            let at = (t / per_side) * tu * size + (t % per_side) * tu;
+            let rows = (0..tu).map(|y| at + y * size..at + y * size + tu);
+            s.residual.resize(tu * tu, 0);
+            let mut ssd = 0i32;
+            for (r, res) in rows.clone().zip(s.residual.chunks_exact_mut(tu)) {
+                for ((d, &o), &p) in res.iter_mut().zip(&orig[r.clone()]).zip(&pred[r]) {
+                    *d = o - p;
+                    ssd += *d * *d;
                 }
-                let levels = self.quantize_tu(tu);
-                for y in 0..tu {
-                    for x in 0..tu {
-                        let idx = (ty * tu + y) * size + tx * tu + x;
-                        recon[idx] = (pred[idx] + self.scratch.tu.rres[y * tu + x]).clamp(0, 255);
-                    }
+            }
+            levels.clear();
+            if quant.all_zero(i64::from(ssd)) {
+                // Every level is 0, so the reconstruction is the
+                // prediction (already in 0..=255) and the distortion is
+                // the residual's energy.
+                levels.resize(tu * tu, 0);
+                for r in rows {
+                    trial.recon[r.clone()].copy_from_slice(&pred[r]);
                 }
-                tus.push(levels);
+                dist += ssd;
+                continue;
+            }
+            if let Some(plan) = plan {
+                plan.forward_into(&s.residual, &mut s.dct_tmp, &mut s.coeffs);
+                quant.quantize_block_into(&s.coeffs, levels);
+                quant.dequantize_block_into(levels, &mut s.deq);
+                plan.inverse_into(&s.deq, &mut s.dct_tmp, &mut s.rres);
+            } else {
+                // Transform skip: quantize the spatial residual directly.
+                levels.extend(s.residual.iter().map(|&r| quant.quantize(f64::from(r))));
+                s.rres.clear();
+                s.rres
+                    .extend(levels.iter().map(|&l| round_to_i32(quant.dequantize(l))));
+            }
+            for (r, rres) in rows.zip(s.rres.chunks_exact(tu)) {
+                let (o, p) = (&orig[r.clone()], &pred[r.clone()]);
+                for (((rc, &o), &p), &e) in trial.recon[r].iter_mut().zip(o).zip(p).zip(rres) {
+                    *rc = (p + e).clamp(0, 255);
+                    let d = o - *rc;
+                    dist += d * d;
+                }
             }
         }
-        let dist: f64 = self
-            .scratch
-            .cu_orig
-            .iter()
-            .zip(&recon)
-            .map(|(&a, &b)| ((a - b) as f64).powi(2))
-            .sum();
-        (tus, recon, dist)
+        f64::from(dist)
     }
 
     /// Codes (or counts) the syntax of one leaf.
@@ -289,69 +292,85 @@ impl<'a> FrameCoder<'a> {
         size: usize,
         state: &mut CoderState,
     ) -> (LeafData, f64) {
-        self.scratch.leaf_orig.clear();
-        self.scratch.leaf_orig.resize(size * size, 0);
-        self.orig
-            .read_block(x0, y0, size, &mut self.scratch.leaf_orig);
-        let orig = &self.scratch.leaf_orig;
+        let n2 = size * size;
+        self.scratch.orig.resize(n2, 0);
+        self.orig.read_block(x0, y0, size, &mut self.scratch.orig);
 
-        // Candidate predictions.
-        let mut cands: Vec<(CuKind, Vec<i32>)> = Vec::new();
+        // Each candidate leaves its trial coder state here; the winner's
+        // becomes the committed state, so the leaf is never re-counted.
+        let mut best: Option<(CuKind, f64, CoderState)> = None;
         if self.cfg.pipeline.intra {
             let refs = RefSamples::gather(&self.recon, x0, y0, size);
-            // SAD-score every mode through one reused prediction buffer
-            // (dozens of modes per leaf — a fresh block per mode used to
-            // dominate the sweep's profile), then materialize only the
-            // few RD survivors.
-            let mut pred_buf = std::mem::take(&mut self.scratch.pred);
-            let modes = self.cfg.profile.modes();
-            let mut scored: Vec<(u64, u8)> = Vec::with_capacity(modes.len());
-            for (i, &mode) in modes.iter().enumerate() {
-                refs.predict_into(mode, &mut pred_buf);
-                let sad: u64 = orig
-                    .iter()
-                    .zip(&pred_buf)
-                    .map(|(&a, &b)| u64::from((a - b).unsigned_abs()))
-                    .sum();
-                // At most 35 modes, so the index fits a byte.
-                scored.push((sad, (i & 0xFF) as u8));
+            let Scratch { orig, orig_t, .. } = &mut self.scratch;
+            orig_t.resize(n2, 0);
+            for (y, row) in orig.chunks_exact(size).enumerate() {
+                for (x, &v) in row.iter().enumerate() {
+                    orig_t[x * size + y] = v;
+                }
             }
-            self.scratch.pred = pred_buf;
-            scored.sort_by_key(|&(sad, i)| (sad, i));
+            // SAD-score every mode straight from the references, then
+            // predict only the few RD survivors.
+            let modes = self.cfg.profile.modes();
+            let mut scored: Vec<(u64, u8)> = modes
+                .iter()
+                .enumerate()
+                // At most 39 modes, so the index fits a byte.
+                .map(|(i, &mode)| (refs.sad(mode, orig, orig_t), (i & 0xFF) as u8))
+                .collect();
+            scored.sort_unstable();
             for &(_, i) in scored.iter().take(RD_CANDIDATES) {
-                cands.push((CuKind::Intra(i), refs.predict(modes[usize::from(i)])));
+                refs.predict_into(modes[usize::from(i)], &mut self.scratch.pred);
+                self.try_candidate(CuKind::Intra(i), size, state, &mut best);
             }
         } else {
-            cands.push((CuKind::Flat, vec![128; size * size]));
+            self.scratch.pred.clear();
+            self.scratch.pred.resize(n2, 128);
+            self.try_candidate(CuKind::Flat, size, state, &mut best);
         }
         if self.frame_inter {
             if let Some(prev) = self.prev {
                 let (mv, _) = motion_search(self.orig, prev, x0, y0, size);
-                cands.push((CuKind::Inter(mv), compensate(prev, x0, y0, size, mv)));
+                self.scratch.pred = compensate(prev, x0, y0, size, mv);
+                self.try_candidate(CuKind::Inter(mv), size, state, &mut best);
             }
         }
 
-        let mut best: Option<(LeafData, Vec<i32>, f64)> = None;
-        for (kind, pred) in cands {
-            let (tus, recon, dist) = self.quantize_cu_residual(x0, y0, size, &pred);
-            let leaf = LeafData { kind, tus };
-            let mut trial_state = state.clone();
-            let mut counter = BitCounter::new();
-            self.code_leaf(&mut counter, &mut trial_state, &leaf, size);
-            let cost = dist + self.lambda * counter.bits();
-            if best.as_ref().is_none_or(|(_, _, c)| cost < *c) {
-                best = Some((leaf, recon, cost));
-            }
-        }
-        // lint:allow(panic): `cands` is never empty — the intra and flat
-        // branches above always push at least one candidate.
-        let (leaf, recon, cost) = best.expect("at least one candidate");
+        // lint:allow(panic): the intra and flat branches above always
+        // try at least one candidate.
+        let (kind, cost, trial_state) = best.expect("at least one candidate");
+        *state = trial_state;
+        self.recon
+            .write_block(x0, y0, size, &self.scratch.best.recon);
+        // The decided tree keeps every leaf until the emit phase, so it
+        // gets exact-size copies; the scratch keeps its capacity.
+        let tus = self.scratch.best.tus.clone();
+        (LeafData { kind, tus }, cost)
+    }
 
-        // Commit: context evolution + reconstruction.
+    /// Codes the prediction in `scratch.pred` as a `kind` leaf and counts
+    /// its bits from `state`; if its RD cost beats `best` (strictly, so
+    /// the earliest of equal candidates wins), it becomes the best.
+    fn try_candidate(
+        &mut self,
+        kind: CuKind,
+        size: usize,
+        state: &CoderState,
+        best: &mut Option<(CuKind, f64, CoderState)>,
+    ) {
+        let dist = self.residual_cu(size);
+        let leaf = LeafData {
+            kind,
+            tus: std::mem::take(&mut self.scratch.trial.tus),
+        };
+        let mut trial_state = state.clone();
         let mut counter = BitCounter::new();
-        self.code_leaf(&mut counter, state, &leaf, size);
-        self.recon.write_block(x0, y0, size, &recon);
-        (leaf, cost)
+        self.code_leaf(&mut counter, &mut trial_state, &leaf, size);
+        self.scratch.trial.tus = leaf.tus;
+        let cost = dist + self.lambda * counter.bits();
+        if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
+            *best = Some((kind, cost, trial_state));
+            std::mem::swap(&mut self.scratch.trial, &mut self.scratch.best);
+        }
     }
 
     /// Recursively decides the coding tree for a CU.
@@ -612,7 +631,7 @@ pub(crate) fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> EncodedVideo 
         return EncodedVideo { bytes, recon };
     }
 
-    let plans = DctPlans::new();
+    let plans = DctPlans::shared();
     let mut recon_frames = Vec::with_capacity(frames.len());
     let mut prev_padded: Option<Frame> = None;
     for (i, f) in frames.iter().enumerate() {
@@ -628,7 +647,7 @@ pub(crate) fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> EncodedVideo 
                     &padded,
                     prev_padded.as_ref(),
                     cfg,
-                    &plans,
+                    plans,
                     &layout,
                     t,
                     i,
@@ -639,7 +658,7 @@ pub(crate) fn encode_video(frames: &[Frame], cfg: &CodecConfig) -> EncodedVideo 
             let recon = Frame::from_vec(padded.width(), padded.height(), data);
             (crate::tile::build_frame_payload(&tile_payloads), recon)
         } else {
-            encode_frame(&padded, prev_padded.as_ref(), cfg, &plans, i)
+            encode_frame(&padded, prev_padded.as_ref(), cfg, plans, i)
         };
         write_frame(&mut bytes, &payload);
         recon_frames.push(recon_padded.cropped(w, h));

@@ -91,16 +91,62 @@ fn inv_angle(a: i32) -> i32 {
     }
 }
 
+/// Largest block side intra prediction serves (the H.265 CTU).
+const MAX_N: usize = 32;
+/// Length of a reference row: HEVC `ref[-MAX_N..=2 * MAX_N]` plus one
+/// repeat of the last sample.
+const ROW_LEN: usize = 3 * MAX_N + 2;
+/// Index of HEVC `ref[0]`, the corner sample, in a reference row.
+const REF0: usize = MAX_N;
+
 /// Reference samples around an `n × n` block, prepared from the
 /// reconstructed frame with HEVC-style substitution for unavailable edges.
+///
+/// They are stored as the two reference rows the angular modes read,
+/// `above` for the vertical modes and `beside` for the horizontal ones:
+/// `row[REF0]` is the corner, `row[REF0 + 1 + i]` is `top[i]` (resp.
+/// `left[i]`) for `i` in `0..2n`, and the last of those repeats once more
+/// so that the interpolation's far tap at the end of the row reads that
+/// repeat instead of clamping its index. Entries below `REF0` are filled
+/// per mode, in a copy, by the negative-angle projection.
 #[derive(Debug, Clone)]
 pub struct RefSamples {
     n: usize,
-    corner: i32,
-    /// `top[i]` = reconstructed pixel at `(x0 + i, y0 - 1)`, `i` in `0..2n`.
-    top: Vec<i32>,
-    /// `left[i]` = reconstructed pixel at `(x0 - 1, y0 + i)`, `i` in `0..2n`.
-    left: Vec<i32>,
+    above: [i32; ROW_LEN],
+    beside: [i32; ROW_LEN],
+}
+
+/// An angular mode's reference row and geometry.
+struct Angular<'a> {
+    row: &'a [i32; ROW_LEN],
+    angle: i32,
+    vertical: bool,
+}
+
+impl Angular<'_> {
+    /// The `n + 1` reference samples and the 1/32-pel fraction that
+    /// predict line `j` (a row for vertical modes, a column for
+    /// horizontal ones): sample `i` of the line is
+    /// `interp(frac, w[i], w[i + 1])`.
+    #[inline]
+    fn line(&self, j: usize, n: usize) -> (&[i32], i32) {
+        // `j < n <= 32` and `|angle| <= 32`, so `pos >> 5` lies in
+        // `-n..=n` and the line lies inside the row.
+        let pos = (i32::try_from(j).unwrap_or(0) + 1) * self.angle;
+        // lint:allow(cast): `REF0` is the constant 32.
+        let base = usize::try_from(REF0 as i32 + 1 + (pos >> 5)).unwrap_or(0);
+        (&self.row[base..=base + n], pos & 31)
+    }
+}
+
+/// One interpolated angular sample, HEVC's
+/// `((32 - frac) * a + frac * b + 16) >> 5` for `frac` in `0..32` and
+/// samples in `0..=255`. The numerator is `32 * a + frac * (b - a) + 16`,
+/// and the arithmetic shift floors, so `a` comes out of it exactly: one
+/// multiply per sample instead of two.
+#[inline]
+fn interp(frac: i32, a: i32, b: i32) -> i32 {
+    a + ((frac * (b - a) + 16) >> 5)
 }
 
 impl RefSamples {
@@ -109,13 +155,20 @@ impl RefSamples {
     /// Samples right of / below the frame are edge-replicated; when a whole
     /// side is unavailable (frame boundary) it is substituted from the
     /// other side, or 128 if neither exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds 32, the largest CTU.
     pub fn gather(recon: &Frame, x0: usize, y0: usize, n: usize) -> Self {
         let have_top = y0 > 0;
         let have_left = x0 > 0;
         let (w, h) = (recon.width(), recon.height());
 
-        let mut top = vec![0i32; 2 * n];
-        let mut left = vec![0i32; 2 * n];
+        let mut above = [0i32; ROW_LEN];
+        let mut beside = [0i32; ROW_LEN];
+        let edge = REF0 + 1..=REF0 + 2 * n;
+        let top = &mut above[edge.clone()];
+        let left = &mut beside[edge];
         let corner;
 
         match (have_top, have_left) {
@@ -148,17 +201,30 @@ impl RefSamples {
                 corner = recon.get(x0 - 1, y0 - 1) as i32;
             }
         }
-        RefSamples {
-            n,
-            corner,
-            top,
-            left,
+        for row in [&mut above, &mut beside] {
+            row[REF0] = corner;
+            row[REF0 + 2 * n + 1] = row[REF0 + 2 * n];
         }
+        RefSamples { n, above, beside }
     }
 
     /// Block size the references were gathered for.
     pub fn size(&self) -> usize {
         self.n
+    }
+
+    fn corner(&self) -> i32 {
+        self.above[REF0]
+    }
+
+    /// `top[i]` = reconstructed pixel at `(x0 + i, y0 - 1)`, `i` in `0..2n`.
+    fn top(&self) -> &[i32] {
+        &self.above[REF0 + 1..=REF0 + 2 * self.n]
+    }
+
+    /// `left[i]` = reconstructed pixel at `(x0 - 1, y0 + i)`, `i` in `0..2n`.
+    fn left(&self) -> &[i32] {
+        &self.beside[REF0 + 1..=REF0 + 2 * self.n]
     }
 
     /// Computes the prediction block (row-major `n × n`) for `mode`.
@@ -168,12 +234,15 @@ impl RefSamples {
         out
     }
 
-    /// [`Self::predict`] into a caller-owned buffer, for the encoder's
-    /// mode sweep which evaluates dozens of modes per leaf and would
-    /// otherwise allocate a block per mode.
+    /// [`Self::predict`] into a caller-owned buffer, for callers that
+    /// predict many blocks and would otherwise allocate one per call.
     pub fn predict_into(&self, mode: PredMode, out: &mut Vec<i32>) {
         out.clear();
         out.resize(self.n * self.n, 0);
+        self.predict_slice(mode, out);
+    }
+
+    fn predict_slice(&self, mode: PredMode, out: &mut [i32]) {
         match mode {
             PredMode::Dc => self.predict_dc(out),
             PredMode::Planar => self.predict_planar(out),
@@ -185,9 +254,55 @@ impl RefSamples {
         }
     }
 
+    /// Sum of absolute differences between `orig` (row-major `n × n`) and
+    /// the prediction for `mode` — the encoder's mode-sweep score —
+    /// without materializing the prediction for angular modes. `orig_t`
+    /// is `orig` transposed: horizontal modes predict column by column,
+    /// so they compare against it row by row. Integer sums do not depend
+    /// on order, so the result equals the SAD against
+    /// [`Self::predict`]'s block exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `orig` or `orig_t` is shorter than `n * n`.
+    pub fn sad(&self, mode: PredMode, orig: &[i32], orig_t: &[i32]) -> u64 {
+        // `n` is 4, 8, 16 or 32 (a CU size), so each size gets a kernel
+        // with constant loop bounds.
+        let sad = match self.n {
+            4 => self.sad_n::<4>(mode, orig, orig_t),
+            8 => self.sad_n::<8>(mode, orig, orig_t),
+            16 => self.sad_n::<16>(mode, orig, orig_t),
+            _ => self.sad_n::<32>(mode, orig, orig_t),
+        };
+        u64::from(sad)
+    }
+
+    fn sad_n<const N: usize>(&self, mode: PredMode, orig: &[i32], orig_t: &[i32]) -> u32 {
+        let mut sad = 0u32;
+        if let PredMode::Angular(m) = mode {
+            let mut scratch = [0i32; ROW_LEN];
+            let a = self.angular(m, &mut scratch);
+            let (lines, _) = if a.vertical { orig } else { orig_t }.as_chunks::<N>();
+            for (j, o) in lines[..N].iter().enumerate() {
+                let (w, frac) = a.line(j, N);
+                for ((&o, &p), &q) in o.iter().zip(w).zip(&w[1..]) {
+                    sad += (o - interp(frac, p, q)).unsigned_abs();
+                }
+            }
+        } else {
+            let mut pred = [[0i32; N]; N];
+            let pred = pred.as_flattened_mut();
+            self.predict_slice(mode, pred);
+            for (&o, &p) in orig[..N * N].iter().zip(pred.iter()) {
+                sad += (o - p).unsigned_abs();
+            }
+        }
+        sad
+    }
+
     fn predict_dc(&self, out: &mut [i32]) {
         let n = self.n;
-        let sum: i32 = self.top[..n].iter().sum::<i32>() + self.left[..n].iter().sum::<i32>();
+        let sum: i32 = self.top()[..n].iter().sum::<i32>() + self.left()[..n].iter().sum::<i32>();
         // Blocks are at most 32×32, so the size always fits i32.
         let ni = i32::try_from(n).unwrap_or(i32::MAX);
         let dc = (sum + ni) / (2 * ni);
@@ -196,27 +311,32 @@ impl RefSamples {
 
     fn predict_planar(&self, out: &mut [i32]) {
         let n = self.n;
+        let (top, left) = (self.top(), self.left());
         // Blocks are at most 32×32, so the size always fits i32.
         let ni = i32::try_from(n).unwrap_or(i32::MAX);
         let shift = n.trailing_zeros() + 1;
         debug_assert!(shift <= 6, "blocks are at most 32x32");
-        let tr = self.top[n]; // first top-right sample
-        let bl = self.left[n]; // first bottom-left sample
+        let tr = top[n]; // first top-right sample
+        let bl = left[n]; // first bottom-left sample
         for y in 0..n {
             let yi = i32::try_from(y).unwrap_or(i32::MAX);
             for x in 0..n {
                 let xi = i32::try_from(x).unwrap_or(i32::MAX);
-                let h = (ni - 1 - xi) * self.left[y] + (xi + 1) * tr;
-                let v = (ni - 1 - yi) * self.top[x] + (yi + 1) * bl;
+                let h = (ni - 1 - xi) * left[y] + (xi + 1) * tr;
+                let v = (ni - 1 - yi) * top[x] + (yi + 1) * bl;
                 out[y * n + x] = (h + v + ni) >> shift;
             }
         }
     }
 
-    fn predict_angular(&self, mode: u8, out: &mut [i32]) {
+    /// The reference row of angular mode `mode`. Non-negative angles read
+    /// the stored row as is; negative angles extend a copy of it in
+    /// `scratch` below the corner with side samples projected onto the
+    /// main direction.
+    fn angular<'a>(&'a self, mode: u8, scratch: &'a mut [i32; ROW_LEN]) -> Angular<'a> {
         assert!((2..=34).contains(&mode), "angular mode {mode} out of range");
         let n = self.n;
-        debug_assert!((4..=32).contains(&n), "blocks are 4x4 to 32x32");
+        debug_assert!((4..=MAX_N).contains(&n), "blocks are 4x4 to 32x32");
         let angle = ANGLES[mode as usize - 2];
         // The HEVC angle table spans ±32; the projection arithmetic below
         // relies on that to stay inside i32.
@@ -225,65 +345,69 @@ impl RefSamples {
 
         // Main reference runs along the prediction direction's source edge;
         // the side reference extends it for negative angles.
-        let (main, side): (&[i32], &[i32]) = if vertical {
-            (&self.top, &self.left)
+        let (main, side) = if vertical {
+            (&self.above, self.left())
         } else {
-            (&self.left, &self.top)
+            (&self.beside, self.top())
         };
-
-        // ref_arr[i + n] corresponds to HEVC's ref[i - 1 + ...]; we build
-        // ref[x] for x in -n..=2n with ref[0] = corner, ref[k] = main[k-1].
-        // Blocks are at most 32×32, so the fixed-size stack array always
-        // covers `3n + 1` entries.
-        let mut ref_store = [0i32; 3 * 32 + 1];
-        let ref_arr = &mut ref_store[..3 * n + 1];
+        if angle >= 0 {
+            return Angular {
+                row: main,
+                angle,
+                vertical,
+            };
+        }
+        // A negative angle reads `ref[x]` for `x` in `lowest..=n` only.
+        scratch[REF0..=REF0 + n].copy_from_slice(&main[REF0..=REF0 + n]);
+        let inv = inv_angle(angle);
         // Blocks are at most 32×32, so the conversion is exact and the
         // projected indices below stay within i32.
-        let off = i32::try_from(n).unwrap_or(32); // ref_arr[(x + off)] = ref[x]
-        ref_arr[n] = self.corner;
-        ref_arr[n + 1..=3 * n].copy_from_slice(&main[..2 * n]);
-        if angle < 0 {
-            let inv = inv_angle(angle);
-            let lowest = (off * angle) >> 5; // most negative index used
-            for x in (lowest..0).rev() {
-                // Project onto the side reference.
-                let idx = ((x * inv + 128) >> 8) - 1; // index into side[], -1 = corner
-                let s = if idx < 0 {
-                    self.corner
-                } else {
-                    side[usize::try_from(idx).unwrap_or(0).min(2 * n - 1)]
-                };
-                // `lowest >= -n`, so `x + off >= 0` always holds.
-                ref_arr[usize::try_from(x + off).unwrap_or(0)] = s;
-            }
+        let off = i32::try_from(n).unwrap_or(32);
+        let lowest = (off * angle) >> 5; // most negative index used
+        for x in (lowest..0).rev() {
+            // Project onto the side reference.
+            let idx = ((x * inv + 128) >> 8) - 1; // index into side[], -1 = corner
+            let s = if idx < 0 {
+                main[REF0]
+            } else {
+                side[usize::try_from(idx).unwrap_or(0).min(2 * n - 1)]
+            };
+            // `lowest >= -n`, so the index stays inside the row.
+            // lint:allow(cast): `REF0` is the constant 32.
+            scratch[usize::try_from(REF0 as i32 + x).unwrap_or(0)] = s;
         }
+        Angular {
+            row: scratch,
+            angle,
+            vertical,
+        }
+    }
 
+    fn predict_angular(&self, mode: u8, out: &mut [i32]) {
+        let mut scratch = [0i32; ROW_LEN];
+        let a = self.angular(mode, &mut scratch);
+        let n = self.n;
         for j in 0..n {
             // j indexes rows for vertical modes, columns for horizontal.
-            let pos = (i32::try_from(j).unwrap_or(i32::MAX) + 1) * angle;
-            let int_part = pos >> 5;
-            let frac = pos & 31;
-            for i in 0..n {
-                // `int_part >= -n` and `off = n`, so the sum is never negative.
-                let base =
-                    usize::try_from(i32::try_from(i).unwrap_or(i32::MAX) + int_part + 1 + off)
-                        .unwrap_or(0);
-                let a = ref_arr[base.min(ref_arr.len() - 1)];
-                let b = ref_arr[(base + 1).min(ref_arr.len() - 1)];
-                let v = ((32 - frac) * a + frac * b + 16) >> 5;
-                let (x, y) = if vertical { (i, j) } else { (j, i) };
-                out[y * n + x] = v;
+            let (w, frac) = a.line(j, n);
+            for (i, (&p, &q)) in w.iter().zip(&w[1..]).enumerate() {
+                let v = interp(frac, p, q);
+                if a.vertical {
+                    out[j * n + i] = v;
+                } else {
+                    out[i * n + j] = v;
+                }
             }
         }
     }
 
     fn predict_paeth(&self, out: &mut [i32]) {
         let n = self.n;
+        let (top, left, c) = (self.top(), self.left(), self.corner());
         for y in 0..n {
             for x in 0..n {
-                let t = self.top[x];
-                let l = self.left[y];
-                let c = self.corner;
+                let t = top[x];
+                let l = left[y];
                 let base = t + l - c;
                 let (dt, dl, dc) = ((base - t).abs(), (base - l).abs(), (base - c).abs());
                 out[y * n + x] = if dt <= dl && dt <= dc {
@@ -302,9 +426,10 @@ impl RefSamples {
     /// purposes and documented in DESIGN.md).
     fn predict_smooth(&self, use_v: bool, use_h: bool, out: &mut [i32]) {
         let n = self.n;
-        let bl = self.left[n]; // bottom-left anchor
-        let tr = self.top[n]; // top-right anchor
-                              // Blocks are at most 32×32, so the size always fits i32.
+        let (top, left) = (self.top(), self.left());
+        let bl = left[n]; // bottom-left anchor
+        let tr = top[n]; // top-right anchor
+                         // Blocks are at most 32×32, so the size always fits i32.
         let ni = i32::try_from(n.max(1)).unwrap_or(i32::MAX);
         let w = |i: usize| -> i32 {
             // 256 at i = 0 decaying linearly to 64 at i = n-1.
@@ -315,11 +440,11 @@ impl RefSamples {
                 let mut acc = 0i32;
                 let mut den = 0i32;
                 if use_v {
-                    acc += w(y) * self.top[x] + (256 - w(y)) * bl;
+                    acc += w(y) * top[x] + (256 - w(y)) * bl;
                     den += 256;
                 }
                 if use_h {
-                    acc += w(x) * self.left[y] + (256 - w(x)) * tr;
+                    acc += w(x) * left[y] + (256 - w(x)) * tr;
                     den += 256;
                 }
                 out[y * n + x] = (acc + den / 2) / den;
@@ -338,6 +463,59 @@ mod tests {
 
     fn all_modes() -> Vec<PredMode> {
         PredMode::av1_set()
+    }
+
+    #[test]
+    fn fused_sad_matches_predict_then_sad_for_every_mode_size_and_edge() {
+        use llm265_tensor::rng::Pcg32;
+        let mut rng = Pcg32::seed_from(23);
+        let side = 96;
+        let f = Frame::from_fn(side, side, |x, y| {
+            (((x * 37 + y * 11) % 200) as u32 + rng.below(56)) as u8
+        });
+        let sets = [
+            PredMode::h264_set(),
+            PredMode::h265_set(),
+            PredMode::av1_set(),
+        ];
+        for n in [4usize, 8, 16, 32] {
+            let far = side - n;
+            // Frame corner, top and left edges (substituted references),
+            // interior, and the right/bottom edges (replicated ones).
+            for (x0, y0) in [
+                (0, 0),
+                (n, 0),
+                (0, n),
+                (n, n),
+                (far, 0),
+                (0, far),
+                (far, far),
+            ] {
+                let refs = RefSamples::gather(&f, x0, y0, n);
+                let orig: Vec<i32> = (0..n * n).map(|_| rng.below(256) as i32).collect();
+                let mut orig_t = vec![0; n * n];
+                for y in 0..n {
+                    for x in 0..n {
+                        orig_t[x * n + y] = orig[y * n + x];
+                    }
+                }
+                for set in &sets {
+                    for &mode in set {
+                        let pred = refs.predict(mode);
+                        let want: u64 = orig
+                            .iter()
+                            .zip(&pred)
+                            .map(|(&o, &p)| u64::from((o - p).unsigned_abs()))
+                            .sum();
+                        assert_eq!(
+                            refs.sad(mode, &orig, &orig_t),
+                            want,
+                            "{mode:?} n={n} at ({x0},{y0})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -490,7 +668,7 @@ mod tests {
         let refs = RefSamples::gather(&f, 8, 8, 8);
         let pred = refs.predict(PredMode::Angular(18));
         // pred[0][0] should equal the corner-adjacent diagonal source.
-        assert_eq!(pred[0], refs.corner);
+        assert_eq!(pred[0], refs.corner());
         assert!(pred.iter().all(|&p| (0..=255).contains(&p)));
     }
 

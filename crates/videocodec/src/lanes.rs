@@ -1,12 +1,13 @@
 //! Deterministic SIMD lane kernels shared by the hot element-wise loops.
 //!
-//! The DCT (in [`crate::transform`]), the dead-zone quantizer (in
-//! [`crate::quant`]) and the tensor codec's per-band f32→u8 affine map
-//! (in `llm265-core`) all run the same kind of loop: one independent
-//! output per input element, no cross-element reduction. This module
-//! owns the lane machinery they share — a backend enum picked once at
-//! runtime, plus a [`Lanes`] trait whose implementations differ *only*
-//! in how many independent outputs advance per step.
+//! The dead-zone quantizer (in [`crate::quant`]) and the tensor codec's
+//! per-band f32→u8 affine map (in `llm265-core`) run the same kind of
+//! loop: one independent output per input element, no cross-element
+//! reduction. This module owns the lane machinery they share — a backend
+//! enum picked once at runtime, plus a [`Lanes`] trait whose
+//! implementations differ *only* in how many independent outputs advance
+//! per step — and the call-free rounding helpers the quantizer and the
+//! inverse DCT ([`crate::transform`]) use.
 //!
 //! # Bit-exactness contract
 //!
@@ -73,13 +74,43 @@ pub(crate) fn compiled_backends() -> Vec<LaneBackend> {
     v
 }
 
+/// `f64::round(x) as i32` — round half away from zero, saturating, NaN
+/// to 0 — without the library call that `round` compiles to on targets
+/// without SSE4.1, and without a branch.
+///
+/// After clamping to the `i32` range (which changes no saturated result,
+/// and keeps NaN), the truncated integer part `t` is exact and so is the
+/// fraction `x - t`: `t` is a multiple of `x`'s ulp, and the difference
+/// is below one. Stepping `t` one away from zero when the fraction
+/// reaches `±0.5` is then the exact tie-away rounding, and it cannot
+/// leave the range: the clamped `x` already rounds into it.
+#[inline]
+pub(crate) fn round_to_i32(x: f64) -> i32 {
+    let x: f64 = x.clamp(f64::from(i32::MIN), f64::from(i32::MAX));
+    let t = x as i32;
+    let frac = x - f64::from(t);
+    t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
+}
+
 /// The dead-zone quantizer's per-coefficient expression (see
 /// [`crate::quant::Quantizer::quantize`]): shared by every lane backend so
 /// the operation sequence cannot drift between them.
+///
+/// It equals `floor(|c| / step + offset)` clamped to `i32::MAX`, times
+/// `signum(c)`, for `step > 0` and `offset >= 0`. The magnitude is then
+/// `>= 0` or NaN, so Rust's saturating `as i32` cast (which truncates,
+/// and truncation is `floor` for non-negative values) does the floor and
+/// the clamp in one instruction, and maps NaN to 0. The sign comes from
+/// the sign bit, so `-0.0` and a negative NaN give 0.
 #[inline]
-fn quantize_one(c: f64, step: f64, offset: f64) -> i32 {
-    let mag = (c.abs() / step + offset).floor();
-    (mag.min(i32::MAX as f64) as i32) * c.signum() as i32
+pub(crate) fn quantize_one(c: f64, step: f64, offset: f64) -> i32 {
+    let scaled: f64 = c.abs() / step + offset;
+    let mag = scaled as i32;
+    if c.is_sign_negative() {
+        -mag
+    } else {
+        mag
+    }
 }
 
 /// The per-band affine map's per-value expression (`llm265-core`'s
@@ -98,10 +129,6 @@ fn affine_one(v: f32, lo: f32, scale: f32) -> u8 {
 /// implementation performs the identical per-lane operation sequence;
 /// the backends differ only in their blocking shape.
 pub(crate) trait Lanes: Copy {
-    /// `acc[j] += s * v[j]` for all `j`; slice lengths are equal and a
-    /// multiple of 4 (every supported transform size is).
-    fn axpy(self, acc: &mut [f64], s: f64, v: &[f64]);
-
     /// Dead-zone-quantizes `coeffs[j]` into `out[j]`; equal lengths.
     fn quantize(self, coeffs: &[f64], step: f64, offset: f64, out: &mut [i32]);
 
@@ -115,13 +142,6 @@ pub(crate) trait Lanes: Copy {
 pub(crate) struct ScalarLanes;
 
 impl Lanes for ScalarLanes {
-    #[inline]
-    fn axpy(self, acc: &mut [f64], s: f64, v: &[f64]) {
-        for (a, x) in acc.iter_mut().zip(v) {
-            *a += s * *x;
-        }
-    }
-
     #[inline]
     fn quantize(self, coeffs: &[f64], step: f64, offset: f64, out: &mut [i32]) {
         for (o, &c) in out.iter_mut().zip(coeffs) {
@@ -146,14 +166,6 @@ pub(crate) struct Sse2Lanes;
 
 #[cfg(target_arch = "x86_64")]
 impl Lanes for Sse2Lanes {
-    #[inline]
-    fn axpy(self, acc: &mut [f64], s: f64, v: &[f64]) {
-        for (a, x) in acc.chunks_exact_mut(2).zip(v.chunks_exact(2)) {
-            a[0] += s * x[0];
-            a[1] += s * x[1];
-        }
-    }
-
     #[inline]
     fn quantize(self, coeffs: &[f64], step: f64, offset: f64, out: &mut [i32]) {
         let mut chunks = out.chunks_exact_mut(2);
@@ -193,16 +205,6 @@ pub(crate) struct Avx2Lanes;
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 impl Lanes for Avx2Lanes {
-    #[inline]
-    fn axpy(self, acc: &mut [f64], s: f64, v: &[f64]) {
-        for (a, x) in acc.chunks_exact_mut(4).zip(v.chunks_exact(4)) {
-            a[0] += s * x[0];
-            a[1] += s * x[1];
-            a[2] += s * x[2];
-            a[3] += s * x[3];
-        }
-    }
-
     #[inline]
     fn quantize(self, coeffs: &[f64], step: f64, offset: f64, out: &mut [i32]) {
         let mut chunks = out.chunks_exact_mut(4);
@@ -267,7 +269,7 @@ pub(crate) fn quantize_block_on(
 ///
 /// This is the tensor codec's per-band quantization inner loop
 /// (`llm265-core`); it lives here so it runs on the same deterministic
-/// lane backends as the DCT. The result is bit-identical on every
+/// lane backends as the quantizer. The result is bit-identical on every
 /// backend. `scale` must be non-zero (flat bands are the caller's
 /// zero-fill fast path).
 ///
@@ -317,6 +319,101 @@ mod tests {
             v[3] = f64::INFINITY;
         }
         v
+    }
+
+    /// Edge cases of both rounding helpers: ties, the largest value
+    /// below one half, `±2^52`, the `i32` bounds and the values just past
+    /// them, signed zeros, infinities and NaN.
+    fn rounding_fixture() -> Vec<f64> {
+        let two52 = 4_503_599_627_370_496.0f64;
+        let mut v = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.499_999_999_999_999_94,
+            -0.499_999_999_999_999_94,
+            0.500_000_000_000_000_1,
+            1.0 - f64::EPSILON / 2.0,
+            two52,
+            -two52,
+            two52 - 0.5,
+            -(two52 - 0.5),
+            two52 - 1.0,
+            two52 + 1.0,
+            2.0 * two52 + 2.0,
+            4_294_967_296.5,
+            -4_294_967_296.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE / 4.0,
+            i32::MAX as f64,
+            i32::MAX as f64 + 0.5,
+            i32::MAX as f64 - 0.5,
+            i32::MIN as f64,
+            i32::MIN as f64 - 0.5,
+            i32::MIN as f64 + 0.5,
+            2_147_483_648.0,
+            i32::MAX as f64 - 1.5,
+            i32::MIN as f64 - 1.0,
+            i32::MIN as f64 + 1.5,
+            1e12,
+            -1e12,
+        ];
+        let mut rng = Pcg32::seed_from(17);
+        for _ in 0..20_000 {
+            let scale = [1.0, 8.0, 300.0, 1e6, 1e15][rng.below(5) as usize];
+            let x = rng.normal() * scale;
+            v.push(x);
+            // Exact ties at every magnitude.
+            v.push(x.trunc() + 0.5);
+        }
+        v
+    }
+
+    #[test]
+    fn round_to_i32_matches_f64_round_then_cast() {
+        for x in rounding_fixture() {
+            assert_eq!(round_to_i32(x), x.round() as i32, "x = {x:e}");
+        }
+    }
+
+    /// The floor/clamp/signum expression `quantize_one` must equal.
+    fn quantize_reference(c: f64, step: f64, offset: f64) -> i32 {
+        let mag = (c.abs() / step + offset).floor();
+        (mag.min(i32::MAX as f64) as i32) * c.signum() as i32
+    }
+
+    #[test]
+    fn quantize_one_matches_the_floor_signum_reference() {
+        let mut coeffs = rounding_fixture();
+        for k in [1.0f64, 2.0, 3.0, 1000.0] {
+            // Exactly on and next to the dead-zone boundaries.
+            let b = (k - 1.0 / 3.0) * 16.0;
+            coeffs.extend([b, -b, b.next_up(), b.next_down(), -b.next_up()]);
+        }
+        for &(step, offset) in &[
+            (0.5f64, 1.0 / 3.0),
+            (16.0, 1.0 / 3.0),
+            (181.0, 0.5),
+            (1e-3, 0.0),
+        ] {
+            for &c in &coeffs {
+                assert_eq!(
+                    quantize_one(c, step, offset),
+                    quantize_reference(c, step, offset),
+                    "c = {c:e}, step = {step}"
+                );
+            }
+        }
     }
 
     #[test]

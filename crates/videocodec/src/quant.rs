@@ -62,11 +62,27 @@ impl Quantizer {
         self.step
     }
 
-    /// Quantizes one coefficient to an integer level.
+    /// Quantizes one coefficient to an integer level:
+    /// `floor(|c| / step + offset)`, saturated at `i32::MAX`, with the
+    /// sign of `c` (NaN quantizes to 0).
     #[inline]
     pub fn quantize(&self, c: f64) -> i32 {
-        let mag = (c.abs() / self.step + self.offset).floor();
-        (mag.min(i32::MAX as f64) as i32) * c.signum() as i32
+        crate::lanes::quantize_one(c, self.step, self.offset)
+    }
+
+    /// Whether every level of a block is provably 0 from the block's
+    /// squared L2 norm alone, without transforming it.
+    ///
+    /// Each coefficient of an orthonormal transform is at most the
+    /// block's L2 norm (Cauchy–Schwarz with unit-norm basis rows), and a
+    /// spatial value trivially is, while a level is nonzero only when
+    /// `|c| >= (1 - offset) * step`. The `1e-6` margins on both sides
+    /// dwarf the transform's f64 rounding error (about `1e-14`
+    /// relative at 32×32), so the test never fires on a block that has a
+    /// nonzero level.
+    #[inline]
+    pub fn all_zero(&self, ssd: i64) -> bool {
+        (ssd as f64).sqrt() * (1.0 + 1e-6) < (1.0 - self.offset) * self.step * (1.0 - 1e-6)
     }
 
     /// Dequantizes a level back to a coefficient value.
@@ -220,6 +236,63 @@ mod tests {
             q.quantize_block_into(&coeffs, &mut buf);
             assert_eq!(buf, want, "{backend:?} (into)");
         }
+    }
+
+    #[test]
+    fn all_zero_fires_only_where_every_level_is_zero() {
+        use crate::transform::{DctPlans, SIZES};
+        use llm265_tensor::rng::Pcg32;
+        let mut rng = Pcg32::seed_from(29);
+        let plans = DctPlans::new();
+        let (mut fired, mut declined) = (0, 0);
+        for &n in &SIZES {
+            let plan = plans.get(n);
+            for qp in (0..=51).map(|q| f64::from(q) + if q % 2 == 0 { 0.0 } else { 0.37 }) {
+                let qp = qp.min(QP_MAX);
+                let q = Quantizer::from_qp(qp);
+                // The L2 norm below which no level can be nonzero.
+                let bound = (1.0 - q.offset) * q.step;
+                for case in 0..24 {
+                    // Shapes that put all of their energy in one
+                    // coefficient (a flat block is pure DC, a spike is one
+                    // spatial value) are the bound's worst cases; noise
+                    // spreads it.
+                    let dir: Vec<f64> = (0..n * n)
+                        .map(|i| match case % 3 {
+                            0 => 1.0,
+                            1 => f64::from(u8::from(i == 0)),
+                            _ => rng.normal(),
+                        })
+                        .collect();
+                    let norm = dir.iter().map(|d| d * d).sum::<f64>().sqrt();
+                    // Scale the L2 norm to 0.5..1.5 times the bound.
+                    let target = bound * (0.5 + f64::from(case) / 23.0);
+                    let residual: Vec<i32> = dir
+                        .iter()
+                        .map(|d| (d * target / norm).round().clamp(-255.0, 255.0) as i32)
+                        .collect();
+                    let ssd: i64 = residual.iter().map(|&r| i64::from(r * r)).sum();
+                    let coeff_levels = q.quantize_block(&plan.forward(&residual));
+                    let spatial_levels: Vec<i32> =
+                        residual.iter().map(|&r| q.quantize(f64::from(r))).collect();
+                    let all_zero = coeff_levels.iter().chain(&spatial_levels).all(|&l| l == 0);
+                    if q.all_zero(ssd) {
+                        assert!(
+                            all_zero,
+                            "n={n} qp={qp} case {case}: early-out on nonzero levels"
+                        );
+                        fired += 1;
+                    } else if all_zero {
+                        declined += 1;
+                    }
+                }
+            }
+        }
+        // The scan straddles the threshold: both outcomes occur.
+        assert!(
+            fired > 100 && declined > 100,
+            "fired {fired}, declined {declined}"
+        );
     }
 
     #[test]

@@ -475,12 +475,11 @@ impl StreamIndex {
             return Ok(Frame::from_vec(self.w, self.h, payload.to_vec()));
         }
         let (y0, band_h) = self.layout.band(i);
-        let plans = DctPlans::new();
         let band = decode_frame(
             payload,
             None,
             &self.cfg,
-            &plans,
+            DctPlans::shared(),
             0,
             self.layout.padded_width(),
             band_h,
@@ -534,9 +533,9 @@ mod tests {
             let ctu = cfg.profile.ctu();
             let layout = TileLayout::for_frame(frame.width(), frame.height(), ctu, cfg.tiles);
             let padded = frame.padded_to(ctu);
-            let plans = DctPlans::new();
+            let plans = DctPlans::shared();
             let payloads: Vec<Vec<u8>> = (0..layout.n_tiles())
-                .map(|t| encode_tile(&padded, None, &cfg, &plans, &layout, t, 0).0)
+                .map(|t| encode_tile(&padded, None, &cfg, plans, &layout, t, 0).0)
                 .collect();
             let assembled =
                 assemble_single_frame_stream(&cfg, frame.width(), frame.height(), &payloads);

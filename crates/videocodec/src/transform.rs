@@ -10,93 +10,101 @@
 //! error in the pixel domain — which is what makes RD optimisation in the
 //! coefficient domain legitimate.
 //!
-//! # Deterministic lane kernels
+//! # Fixed-size kernels
 //!
-//! Both matrix passes run as rank-1 (`axpy`) updates over contiguous
-//! rows: every output coefficient accumulates its own sum in exactly the
-//! textbook triple-loop order, and the lane backends ([`ScalarLanes`],
-//! SSE2, AVX2) only advance several *independent* outputs per
-//! instruction. No sum is ever split across lanes and no reduction tree
-//! exists, so scalar and SIMD produce bit-identical coefficients — the
-//! encoded bytes match the golden hashes on every machine. The backend is
-//! picked once per plan by [`crate::lanes::detect_lane_backend`]; the lane
-//! machinery itself (backend enum, trait, per-ISA impls) lives in
-//! [`crate::lanes`], shared with the quantizer kernels. See DESIGN.md
-//! ("Deterministic SIMD") for why AVX2 is additionally compile-time gated
-//! under the workspace's no-`unsafe` policy.
+//! `forward_into`/`inverse_into` dispatch the four supported sizes to
+//! const-generic kernels, so every loop bound is a compile-time constant
+//! and the compiler unrolls and vectorizes across *independent* outputs.
+//! Each output coefficient still accumulates its own sum in the textbook
+//! order — starting from `+0.0`, adding one product per step in
+//! ascending index order, no fused multiply-add — so the result is bit
+//! for bit the textbook triple loop's on every machine and target CPU.
+//!
+//! An all-zero coefficient block returns zeros at once: summing `±0.0`
+//! products from `+0.0` gives `+0.0`, which rounds to 0.
+//!
+//! Residuals round half away from zero through
+//! [`crate::lanes::round_to_i32`], which equals `f64::round` followed by
+//! the saturating cast without the library call. See DESIGN.md
+//! ("Deterministic SIMD").
 
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-use crate::lanes::Avx2Lanes;
-#[cfg(target_arch = "x86_64")]
-use crate::lanes::Sse2Lanes;
-use crate::lanes::{detect_lane_backend, LaneBackend, Lanes, ScalarLanes};
+use std::sync::OnceLock;
+
+use crate::lanes::round_to_i32;
 
 /// Supported transform sizes.
 pub const SIZES: [usize; 4] = [4, 8, 16, 32];
 
-/// Both forward passes as rank-1 updates over contiguous rows. Each
-/// output coefficient starts at 0.0 and accumulates in ascending `i`
-/// order — the same add sequence as the textbook triple loop, so the
-/// result is bit-identical to it on every backend.
-fn forward_passes<L: Lanes>(
-    plan: &DctPlan,
-    block: &[i32],
-    tmp: &mut [f64],
-    out: &mut [f64],
-    lanes: L,
-) {
-    let n = plan.n;
-    // Pass 1 (rows): tmp[y][k] = sum_i block[y][i] * basis[k][i].
-    for y in 0..n {
-        let row = &mut tmp[y * n..(y + 1) * n];
-        for i in 0..n {
-            lanes.axpy(
-                row,
-                block[y * n + i] as f64,
-                &plan.basis_t[i * n..(i + 1) * n],
-            );
+/// Outputs accumulated per register group: eight `f64`s (four SSE2 or two
+/// AVX2 registers) keep every running sum in registers at every size.
+const GROUP: usize = 8;
+
+/// `out[j] = sum_k s[k] * rows[k][j]`: each output starts at `+0.0` and
+/// adds one product per step in ascending `k`. The outputs are
+/// independent, so computing them in groups of [`GROUP`] changes no sum.
+#[inline]
+fn rank1_sum<const N: usize>(s: &[f64; N], rows: &[[f64; N]], out: &mut [f64; N]) {
+    for (g, o) in out.chunks_mut(GROUP).enumerate() {
+        let mut acc = [0.0f64; GROUP];
+        for (&sk, r) in s.iter().zip(rows) {
+            for (a, &v) in acc.iter_mut().zip(&r[g * GROUP..]) {
+                *a += sk * v;
+            }
         }
-    }
-    // Pass 2 (columns): out[k][x] = sum_i tmp[i][x] * basis[k][i].
-    for k in 0..n {
-        let row = &mut out[k * n..(k + 1) * n];
-        for i in 0..n {
-            lanes.axpy(row, plan.basis[k * n + i], &tmp[i * n..(i + 1) * n]);
-        }
+        o.copy_from_slice(&acc[..o.len()]);
     }
 }
 
-/// Both inverse passes as rank-1 updates; same bit-exactness contract as
-/// [`forward_passes`].
-fn inverse_passes<L: Lanes>(
-    plan: &DctPlan,
-    coeffs: &[f64],
-    tmp: &mut [f64],
-    out: &mut [i32],
-    lanes: L,
-) {
-    let n = plan.n;
-    // Pass 1 (columns): tmp[i][x] = sum_k coeffs[k][x] * basis[k][i].
-    for i in 0..n {
-        let row = &mut tmp[i * n..(i + 1) * n];
-        for k in 0..n {
-            lanes.axpy(row, plan.basis[k * n + i], &coeffs[k * n..(k + 1) * n]);
+/// Both forward passes at a compile-time size `N`.
+fn forward_n<const N: usize>(plan: &DctPlan, block: &[i32], tmp: &mut [f64], out: &mut [f64]) {
+    let (basis, _) = plan.basis.as_chunks::<N>();
+    let (basis_t, _) = plan.basis_t.as_chunks::<N>();
+    // Pass 1 (rows): tmp[y][k] = sum_i block[y][i] * basis[k][i].
+    let (rows, _) = block.as_chunks::<N>();
+    let (tmp_rows, _) = tmp.as_chunks_mut::<N>();
+    let mut row_f = [0.0f64; N];
+    for (t, row) in tmp_rows.iter_mut().zip(rows) {
+        for (f, &v) in row_f.iter_mut().zip(row) {
+            *f = f64::from(v);
         }
+        rank1_sum(&row_f, basis_t, t);
+    }
+    // Pass 2 (columns): out[k][x] = sum_i basis[k][i] * tmp[i][x].
+    let (tmp_rows, _) = tmp.as_chunks::<N>();
+    let (out_rows, _) = out.as_chunks_mut::<N>();
+    for (o, b) in out_rows.iter_mut().zip(basis) {
+        rank1_sum(b, tmp_rows, o);
+    }
+}
+
+/// Both inverse passes at a compile-time size `N`. An all-zero block
+/// returns zeros without any arithmetic (see the module docs).
+fn inverse_n<const N: usize>(plan: &DctPlan, coeffs: &[f64], tmp: &mut [f64], out: &mut [i32]) {
+    // No early exit: a branch-free scan is cheaper than a mispredicted
+    // one. `-0.0` counts as zero.
+    // lint:allow(float-cmp): an exact zero test — only an exactly zero
+    // block has an exactly zero inverse.
+    let any_nonzero = coeffs.iter().fold(false, |any, &c| any | (c != 0.0));
+    if !any_nonzero {
+        out.fill(0);
+        return;
+    }
+    let (basis, _) = plan.basis.as_chunks::<N>();
+    let (basis_t, _) = plan.basis_t.as_chunks::<N>();
+    // Pass 1 (columns): tmp[i][x] = sum_k basis[k][i] * coeffs[k][x].
+    let (c_rows, _) = coeffs.as_chunks::<N>();
+    let (tmp_rows, _) = tmp.as_chunks_mut::<N>();
+    for (t, bt) in tmp_rows.iter_mut().zip(basis_t) {
+        rank1_sum(bt, c_rows, t);
     }
     // Pass 2 (rows): out[y][i] = round(sum_k tmp[y][k] * basis[k][i]).
-    // The f64 accumulator row lives on the stack (n <= 32).
-    let mut acc = [0.0f64; 32];
-    for y in 0..n {
-        acc[..n].fill(0.0);
-        for k in 0..n {
-            lanes.axpy(
-                &mut acc[..n],
-                tmp[y * n + k],
-                &plan.basis[k * n..(k + 1) * n],
-            );
-        }
-        for (o, a) in out[y * n..(y + 1) * n].iter_mut().zip(&acc[..n]) {
-            *o = a.round() as i32;
+    let (tmp_rows, _) = tmp.as_chunks::<N>();
+    let (out_rows, _) = out.as_chunks_mut::<N>();
+    let mut acc = [0.0f64; N];
+    for (o, t) in out_rows.iter_mut().zip(tmp_rows) {
+        rank1_sum(t, basis, &mut acc);
+        for (o, &a) in o.iter_mut().zip(&acc) {
+            *o = round_to_i32(a);
         }
     }
 }
@@ -107,10 +115,9 @@ pub struct DctPlan {
     n: usize,
     // basis[k*n + i] = alpha_k * cos(pi/n * (i + 0.5) * k)
     basis: Vec<f64>,
-    // Transposed basis, basis_t[i*n + k] = basis[k*n + i]: lets the lane
-    // kernels read each rank-1 update's row contiguously.
+    // Transposed basis, basis_t[i*n + k] = basis[k*n + i]: lets the
+    // kernels read each pass's scalar operand from one contiguous row.
     basis_t: Vec<f64>,
-    backend: LaneBackend,
 }
 
 impl DctPlan {
@@ -139,30 +146,12 @@ impl DctPlan {
                 basis_t[i * n + k] = basis[k * n + i];
             }
         }
-        DctPlan {
-            n,
-            basis,
-            basis_t,
-            backend: detect_lane_backend(),
-        }
+        DctPlan { n, basis, basis_t }
     }
 
     /// Transform size.
     pub fn size(&self) -> usize {
         self.n
-    }
-
-    /// Name of the lane backend this plan executes on (`"scalar"`,
-    /// `"sse2"` or `"avx2"`). Diagnostic only: every backend produces
-    /// bit-identical coefficients.
-    pub fn simd_backend(&self) -> &'static str {
-        match self.backend {
-            LaneBackend::Scalar => "scalar",
-            #[cfg(target_arch = "x86_64")]
-            LaneBackend::Sse2 => "sse2",
-            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-            LaneBackend::Avx2 => "avx2",
-        }
     }
 
     /// Forward 2-D DCT of an `n × n` spatial block (row-major).
@@ -179,8 +168,9 @@ impl DctPlan {
 
     /// [`Self::forward`] into caller-owned buffers, for hot loops that
     /// transform many blocks. `tmp` is workspace, `out` receives the
-    /// coefficients; both are resized as needed. The arithmetic (and so
-    /// the result, bit for bit) is identical to [`Self::forward`].
+    /// coefficients; both are resized as needed and every slot is
+    /// overwritten. The arithmetic (and so the result, bit for bit) is
+    /// identical to [`Self::forward`].
     ///
     /// # Panics
     ///
@@ -188,18 +178,14 @@ impl DctPlan {
     pub fn forward_into(&self, block: &[i32], tmp: &mut Vec<f64>, out: &mut Vec<f64>) {
         let n = self.n;
         assert_eq!(block.len(), n * n);
-        // Rows then columns; O(n^3), fine at n <= 32. Accumulators start
-        // at 0.0 (clear + resize fills every slot).
-        tmp.clear();
         tmp.resize(n * n, 0.0);
-        out.clear();
         out.resize(n * n, 0.0);
-        match self.backend {
-            LaneBackend::Scalar => forward_passes(self, block, tmp, out, ScalarLanes),
-            #[cfg(target_arch = "x86_64")]
-            LaneBackend::Sse2 => forward_passes(self, block, tmp, out, Sse2Lanes),
-            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-            LaneBackend::Avx2 => forward_passes(self, block, tmp, out, Avx2Lanes),
+        // `n` is one of SIZES by construction.
+        match n {
+            4 => forward_n::<4>(self, block, tmp, out),
+            8 => forward_n::<8>(self, block, tmp, out),
+            16 => forward_n::<16>(self, block, tmp, out),
+            _ => forward_n::<32>(self, block, tmp, out),
         }
     }
 
@@ -227,16 +213,13 @@ impl DctPlan {
     pub fn inverse_into(&self, coeffs: &[f64], tmp: &mut Vec<f64>, out: &mut Vec<i32>) {
         let n = self.n;
         assert_eq!(coeffs.len(), n * n);
-        tmp.clear();
         tmp.resize(n * n, 0.0);
-        out.clear();
         out.resize(n * n, 0);
-        match self.backend {
-            LaneBackend::Scalar => inverse_passes(self, coeffs, tmp, out, ScalarLanes),
-            #[cfg(target_arch = "x86_64")]
-            LaneBackend::Sse2 => inverse_passes(self, coeffs, tmp, out, Sse2Lanes),
-            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-            LaneBackend::Avx2 => inverse_passes(self, coeffs, tmp, out, Avx2Lanes),
+        match n {
+            4 => inverse_n::<4>(self, coeffs, tmp, out),
+            8 => inverse_n::<8>(self, coeffs, tmp, out),
+            16 => inverse_n::<16>(self, coeffs, tmp, out),
+            _ => inverse_n::<32>(self, coeffs, tmp, out),
         }
     }
 }
@@ -258,6 +241,14 @@ impl DctPlans {
                 DctPlan::new(32),
             ],
         }
+    }
+
+    /// The process-wide plans, built on first use. Plans are pure
+    /// functions of the size, so every caller sharing one set changes no
+    /// output; it only saves rebuilding the bases per encode or tile read.
+    pub fn shared() -> &'static DctPlans {
+        static PLANS: OnceLock<DctPlans> = OnceLock::new();
+        PLANS.get_or_init(DctPlans::new)
     }
 
     /// The plan for size `n`.
@@ -392,37 +383,128 @@ mod tests {
         let _ = DctPlan::new(5);
     }
 
-    use crate::lanes::compiled_backends;
+    /// The textbook triple loops the kernels must reproduce bit for bit:
+    /// every output sums its products from `+0.0` in ascending index
+    /// order, and the inverse rounds with `f64::round`.
+    fn reference_forward(plan: &DctPlan, block: &[i32]) -> Vec<f64> {
+        let n = plan.n;
+        let mut tmp = vec![0.0; n * n];
+        for y in 0..n {
+            for k in 0..n {
+                let mut acc = 0.0;
+                for i in 0..n {
+                    acc += block[y * n + i] as f64 * plan.basis[k * n + i];
+                }
+                tmp[y * n + k] = acc;
+            }
+        }
+        let mut out = vec![0.0; n * n];
+        for k in 0..n {
+            for x in 0..n {
+                let mut acc = 0.0;
+                for i in 0..n {
+                    acc += plan.basis[k * n + i] * tmp[i * n + x];
+                }
+                out[k * n + x] = acc;
+            }
+        }
+        out
+    }
 
-    fn plan_with_backend(n: usize, backend: LaneBackend) -> DctPlan {
-        let mut plan = DctPlan::new(n);
-        plan.backend = backend;
-        plan
+    fn reference_inverse(plan: &DctPlan, coeffs: &[f64]) -> Vec<i32> {
+        let n = plan.n;
+        let mut tmp = vec![0.0; n * n];
+        for i in 0..n {
+            for x in 0..n {
+                let mut acc = 0.0;
+                for k in 0..n {
+                    acc += plan.basis[k * n + i] * coeffs[k * n + x];
+                }
+                tmp[i * n + x] = acc;
+            }
+        }
+        let mut out = vec![0; n * n];
+        for y in 0..n {
+            for i in 0..n {
+                let mut acc = 0.0;
+                for k in 0..n {
+                    acc += tmp[y * n + k] * plan.basis[k * n + i];
+                }
+                out[y * n + i] = acc.round() as i32;
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|c| c.to_bits()).collect()
     }
 
     #[test]
-    fn every_compiled_backend_matches_scalar_bit_for_bit() {
+    fn fixed_size_kernels_match_the_textbook_loops_bit_for_bit() {
         let mut rng = Pcg32::seed_from(9);
+        let plans = DctPlans::new();
         for &n in &SIZES {
-            let block: Vec<i32> = (0..n * n).map(|_| rng.below(256) as i32 - 128).collect();
-            let scalar = plan_with_backend(n, LaneBackend::Scalar);
-            let coeffs = scalar.forward(&block);
-            let back = scalar.inverse(&coeffs);
-            let coeff_bits: Vec<u64> = coeffs.iter().map(|c| c.to_bits()).collect();
-            for backend in compiled_backends() {
-                let plan = plan_with_backend(n, backend);
-                let c = plan.forward(&block);
-                let c_bits: Vec<u64> = c.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(c_bits, coeff_bits, "forward {backend:?} size {n}");
-                assert_eq!(plan.inverse(&c), back, "inverse {backend:?} size {n}");
+            let plan = plans.get(n);
+            for case in 0..40 {
+                // Dense residuals of every magnitude, then sparse ones
+                // whose coefficient blocks have zero rows and columns.
+                let amp = [1, 3, 40, 256][case % 4];
+                let block: Vec<i32> = (0..n * n)
+                    .map(|_| {
+                        if case >= 20 && rng.below(8) != 0 {
+                            0
+                        } else {
+                            rng.below(2 * amp) as i32 - amp as i32
+                        }
+                    })
+                    .collect();
+                let coeffs = plan.forward(&block);
+                assert_eq!(
+                    bits(&coeffs),
+                    bits(&reference_forward(plan, &block)),
+                    "forward n={n} case {case}"
+                );
+                // Quantize-like sparsification: keep a few low-frequency
+                // levels, some as -0.0, the rest zero.
+                let step = [1.0, 7.5, 40.0, 300.0][case % 4];
+                let deq: Vec<f64> = coeffs
+                    .iter()
+                    .map(|&c| {
+                        let l = (c / step).trunc();
+                        if l == 0.0 && c < 0.0 {
+                            -0.0
+                        } else {
+                            l * step
+                        }
+                    })
+                    .collect();
+                for input in [&coeffs, &deq] {
+                    assert_eq!(
+                        plan.inverse(input),
+                        reference_inverse(plan, input),
+                        "inverse n={n} case {case}"
+                    );
+                }
+            }
+            // All-zero and single-coefficient blocks, non-finite values.
+            let mut c = vec![0.0; n * n];
+            assert_eq!(plan.inverse(&c), vec![0; n * n]);
+            c[n + 1] = -0.0;
+            assert_eq!(plan.inverse(&c), vec![0; n * n]);
+            for v in [1e-300, 1.0, -3.5, 1e9, f64::INFINITY, f64::NAN] {
+                c[(n - 1) * n + 2] = v;
+                assert_eq!(plan.inverse(&c), reference_inverse(plan, &c), "n={n} v={v}");
             }
         }
     }
 
     #[test]
-    fn detected_backend_is_compiled_in_and_named() {
-        let plan = DctPlan::new(8);
-        assert!(compiled_backends().contains(&plan.backend));
-        assert!(["scalar", "sse2", "avx2"].contains(&plan.simd_backend()));
+    fn shared_plans_are_built_once_and_match_fresh_ones() {
+        let a = DctPlans::shared();
+        assert!(std::ptr::eq(a, DctPlans::shared()));
+        let block: Vec<i32> = (0..64).map(|i| (i * 37 % 255) - 127).collect();
+        let fresh = DctPlan::new(8).forward(&block);
+        assert_eq!(bits(&a.get(8).forward(&block)), bits(&fresh));
     }
 }

@@ -34,7 +34,7 @@
 //! A fourth hazard is **runtime CPU feature detection**
 //! (`is_x86_feature_detected!`): deterministic on one machine, different
 //! across machines. It is legitimate in exactly one shape — a *pure
-//! backend selector* like `transform::detect_lane_backend`, a function
+//! backend selector* like `lanes::detect_lane_backend`, a function
 //! that inspects features and returns an enum variant, steering *which*
 //! lane kernel runs while every kernel produces identical bytes. The pass
 //! recognizes that shape structurally: the body must contain no numeric
@@ -45,7 +45,7 @@
 //! Call resolution filters out bodiless trait-method *declarations*
 //! before applying the candidate cap: a trait with one declaration plus
 //! `MAX_CANDIDATES` impls would otherwise make the method name silently
-//! unresolvable and drop every impl (e.g. the `Lanes::axpy` kernels) from
+//! unresolvable and drop every impl (e.g. the `Lanes::quantize` kernels) from
 //! the closure.
 
 use std::collections::{BTreeMap, BTreeSet};
